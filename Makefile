@@ -52,7 +52,6 @@ FUZZ_TARGETS := \
 	FuzzLoadFleet:./internal/wrapper/ \
 	FuzzDecodeArtifact:./internal/extract/ \
 	FuzzStreamTwoPassEquiv:./internal/extract/ \
-	FuzzLazyEagerEquiv:./internal/machine/ \
 	FuzzDecodeVersionRecord:./internal/cluster/ \
 	FuzzSpannerOracleEquiv:./internal/spanner/ \
 	FuzzAPISequence:./internal/seqfuzz/
@@ -123,7 +122,7 @@ metrics-lint:
 
 # godoc smoke: the serving-path APIs keep rendering documentation.
 doc-smoke:
-	$(GO) doc resilex/internal/machine LazyDFA >/dev/null
+	$(GO) doc resilex/internal/machine Dense >/dev/null
 	$(GO) doc resilex/internal/extract Cache >/dev/null
 	$(GO) doc resilex/internal/wrapper Fleet.ExtractBatch >/dev/null
 	$(GO) doc resilex/internal/extract StreamMatcher >/dev/null
@@ -161,7 +160,7 @@ alloc-gate:
 # over extracted regions. Guards the multi-split automaton ISSUE 10
 # introduced.
 spanner-gate:
-	$(GO) test -run 'TestProgramMatchesOracle|TestUnambiguousTupleInvariant|TestRecordEnumeration|TestAlgebraOverExtracted' -count=1 ./internal/spanner/
+	$(GO) test -run 'TestProgramMatchesOracle|TestUnambiguousTupleInvariant|TestUniqueMatchesOracle|TestRecordEnumeration|TestAlgebraOverExtracted' -count=1 ./internal/spanner/
 	$(GO) test -fuzz=FuzzSpannerOracleEquiv -fuzztime=5s ./internal/spanner/
 
 # Refresh smoke: boot one node with the drift watcher on, PUT v1, drop a

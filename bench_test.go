@@ -8,6 +8,7 @@
 package resilex_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -317,8 +318,9 @@ func BenchmarkE13Tuple(b *testing.B) {
 		}
 	})
 	b.Run("extract", func(b *testing.B) {
+		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
-			if _, ok, err := tp.Extract(doc); err != nil || !ok {
+			if _, ok, err := resilex.ExtractTuple(ctx, tp, doc); err != nil || !ok {
 				b.Fatal(err)
 			}
 		}
@@ -388,14 +390,18 @@ func BenchmarkStreaming(b *testing.B) {
 			m.Find(word)
 		}
 	})
+	sm, err := x.CompileStream()
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("stream", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s, _ := m.Stream()
+			r := sm.Get(extract.FindLeftmost)
 			for _, sym := range word {
-				if _, found := s.Feed(sym); found {
-					break
-				}
+				r.Feed(sym)
 			}
+			r.Find()
+			sm.Put(r)
 		}
 	})
 }

@@ -103,10 +103,7 @@ func run() int {
 			runPage = func(html string) ([]resilex.Region, error) {
 				ctx, cancel := bound()
 				defer cancel()
-				if err := (resilex.Options{Ctx: ctx}).Err(); err != nil {
-					return nil, err
-				}
-				return w.Extract(html)
+				return w.ExtractContext(ctx, html)
 			}
 		}
 	} else {

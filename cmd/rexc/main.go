@@ -21,6 +21,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -182,7 +183,7 @@ func runTuple(tp *resilex.Tuple, doc []resilex.Symbol, tab *resilex.Table) {
 		fatal(err)
 	}
 	fmt.Printf("unambiguous: %v\n", unamb)
-	v, ok, err := tp.Extract(doc)
+	v, ok, err := resilex.ExtractTuple(context.Background(), tp, doc)
 	if err != nil {
 		fatal(err)
 	}

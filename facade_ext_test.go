@@ -1,6 +1,8 @@
 package resilex_test
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"resilex"
@@ -25,7 +27,7 @@ func TestFacadeTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := tp.Extract(doc)
+	v, ok, err := resilex.ExtractTuple(context.Background(), tp, doc)
 	if err != nil || !ok {
 		t.Fatalf("extract: %v %v", ok, err)
 	}
@@ -36,8 +38,15 @@ func TestFacadeTuple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2, ok, err := maxed.Extract(doc); err != nil || !ok || v2[0] != v[0] || v2[1] != v[1] {
+	if v2, ok, err := resilex.ExtractTuple(context.Background(), maxed, doc); err != nil || !ok || v2[0] != v[0] || v2[1] != v[1] {
 		t.Errorf("maximized vector = %v (%v, %v)", v2, ok, err)
+	}
+	amb, err := resilex.ParseTuple(".* <INPUT> .* <INPUT> .*", tab, resilex.NewAlphabet(tags...), resilex.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := resilex.ExtractTuple(context.Background(), amb, doc); !errors.Is(err, resilex.ErrAmbiguous) {
+		t.Errorf("three INPUTs under an ambiguous tuple: err = %v, want ErrAmbiguous", err)
 	}
 }
 
@@ -130,13 +139,9 @@ func TestFacadeMaximizationAlgorithms(t *testing.T) {
 	if m, _ := c.Maximal(); !m {
 		t.Error("Compose output not maximal")
 	}
-	// Streaming through the facade-compiled matcher.
-	mtr, err := lf.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := mtr.Stream(); !ok {
-		t.Error("maximized expression should stream")
+	// Left-filtering maximization widens the suffix to Σ*.
+	if !lf.Right().IsUniversal() {
+		t.Error("maximized expression's suffix is not Σ*")
 	}
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"resilex/internal/machine"
 	"resilex/internal/perturb"
 	"resilex/internal/rx"
+	"resilex/internal/spanner"
 	"resilex/internal/symtab"
 	"resilex/internal/wrapper"
 )
@@ -400,9 +402,13 @@ func E13Tuple(trials int, seed int64) Table {
 		if err != nil {
 			panic(err)
 		}
+		prog, err := spanner.Compile(row.tp, row.tp.Options())
+		if err != nil {
+			panic(err)
+		}
 		hits := 0
 		for _, tr := range corpus {
-			v, ok, err := row.tp.Extract(tr.doc)
+			v, ok, err := prog.Unique(context.Background(), tr.doc)
 			if err == nil && ok && len(v) == 2 && v[0] == tr.t1 && v[1] == tr.t2 {
 				hits++
 			}

@@ -5,7 +5,6 @@ import (
 
 	"resilex/internal/extract"
 	"resilex/internal/machine"
-	"resilex/internal/symtab"
 )
 
 // A content-addressed cache compiles each distinct expression once; later
@@ -21,25 +20,4 @@ func ExampleCache() {
 	st := cache.Stats()
 	fmt.Printf("misses=%d hits=%d entries=%d\n", st.Misses, st.Hits, st.Entries)
 	// Output: misses=1 hits=2 entries=1
-}
-
-// CompileLazy builds a matcher whose component DFAs materialize on demand,
-// so matching starts without paying the worst-case determinization.
-func ExampleExpr_CompileLazy() {
-	tab := symtab.NewTable()
-	p, q := tab.Intern("p"), tab.Intern("q")
-	x, err := extract.Parse("q* <p> .*", tab, symtab.NewAlphabet(p, q), machine.Options{})
-	if err != nil {
-		panic(err)
-	}
-	m, err := x.CompileLazy()
-	if err != nil {
-		panic(err)
-	}
-	pos, ok, err := m.Find([]symtab.Symbol{q, q, p, q})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(pos, ok)
-	// Output: 2 true
 }

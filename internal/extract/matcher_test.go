@@ -87,72 +87,3 @@ func BenchmarkMatcherAblation(b *testing.B) {
 		}
 	}
 }
-
-func TestStreamMatchesBatch(t *testing.T) {
-	e := newTenv()
-	// Σ*-right expressions stream; results must equal the batch matcher.
-	exprs := []string{
-		"[^ p]* <p> .*",
-		"(q p)* <p> .*",
-		"q* p q* <p> .*",
-	}
-	words := allWords(e.sigma2, 7)
-	for _, src := range exprs {
-		x := e.expr(t, src, e.sigma2)
-		m, err := x.Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range words {
-			s, ok := m.Stream()
-			if !ok {
-				t.Fatalf("%q: Stream unavailable despite Σ* suffix", src)
-			}
-			streamPos := -1
-			for _, sym := range w {
-				if pos, found := s.Feed(sym); found {
-					streamPos = pos
-				}
-			}
-			if rp, rok := s.Result(); (rok && rp != streamPos) || (!rok && streamPos != -1) {
-				t.Fatalf("%q: Result inconsistent with Feed", src)
-			}
-			batchPos, batchOK := m.Find(w)
-			if batchOK != (streamPos >= 0) || (batchOK && batchPos != streamPos) {
-				t.Fatalf("%q on %q: stream %d, batch (%d, %v)",
-					src, e.tab.String(w), streamPos, batchPos, batchOK)
-			}
-		}
-	}
-	// Non-universal suffix: streaming refused.
-	x := e.expr(t, "q* <p> q", e.sigma2)
-	m, err := x.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m.Stream(); ok {
-		t.Error("Stream available for non-Σ* suffix")
-	}
-}
-
-func TestStreamForeignSymbol(t *testing.T) {
-	e := newTenv()
-	x := e.expr(t, "q* <p> .*", e.sigma2)
-	m, err := x.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ok := m.Stream()
-	if !ok {
-		t.Fatal("no stream")
-	}
-	// An out-of-Σ token kills the prefix; later p's must not match.
-	for _, sym := range []symtab.Symbol{e.q, e.r, e.p} {
-		if _, found := s.Feed(sym); found {
-			t.Fatal("matched through a foreign symbol")
-		}
-	}
-	if _, ok := s.Result(); ok {
-		t.Error("Result ok after dead prefix")
-	}
-}

@@ -111,6 +111,9 @@ func (t *Tuple) Segment(j int) lang.Language { return t.segs[j] }
 // Sigma returns the alphabet.
 func (t *Tuple) Sigma() symtab.Alphabet { return t.sigma }
 
+// Options returns the state-budget options the tuple carries.
+func (t *Tuple) Options() machine.Options { return t.opt }
+
 // String renders the tuple in concrete syntax.
 func (t *Tuple) String(tab *symtab.Table) string {
 	out := ""
@@ -203,99 +206,6 @@ func (t *Tuple) chain() (*chainNFA, error) {
 		out.Accept[s] = true
 	}
 	return &chainNFA{nfa: out, markEdge: marks}, nil
-}
-
-// Parses reports whether the word admits at least one extraction vector.
-func (t *Tuple) Parses(word []symtab.Symbol) bool {
-	c, err := t.chain()
-	if err != nil {
-		return false
-	}
-	return c.nfa.Accepts(word)
-}
-
-// Positions returns, per mark, every position that participates in some
-// valid extraction vector (ascending). On an unambiguous tuple each list
-// has length ≤ 1, and exactly 1 iff the word parses.
-func (t *Tuple) Positions(word []symtab.Symbol) ([][]int, error) {
-	c, err := t.chain()
-	if err != nil {
-		return nil, err
-	}
-	n := c.nfa
-	ln := len(word)
-	// Forward reachable sets per position.
-	fwd := make([][]bool, ln+1)
-	set := startBitset(n)
-	fwd[0] = set
-	for i := 0; i < ln; i++ {
-		set = moveBitset(n, set, word[i])
-		fwd[i+1] = set
-	}
-	// Backward co-accepting sets per position: bwd[i][s] ⟺ suffix word[i:]
-	// accepted from s. ε-transitions need reverse closure.
-	bwd := make([][]bool, ln+1)
-	acc := make([]bool, n.NumStates())
-	copy(acc, n.Accept)
-	reverseEpsClose(n, acc)
-	bwd[ln] = acc
-	for i := ln - 1; i >= 0; i-- {
-		prev := make([]bool, n.NumStates())
-		for s := 0; s < n.NumStates(); s++ {
-			for _, e := range n.Edges[s] {
-				if e.On.Contains(word[i]) && bwd[i+1][e.To] {
-					prev[s] = true
-				}
-			}
-		}
-		reverseEpsClose(n, prev)
-		bwd[i] = prev
-	}
-	out := make([][]int, len(t.marks))
-	for i := 0; i < ln; i++ {
-		for from, hops := range c.markEdge {
-			if !fwd[i][from] {
-				continue
-			}
-			for _, h := range hops {
-				if word[i] == t.marks[h.mark-1] && bwd[i+1][h.to] {
-					out[h.mark-1] = appendUnique(out[h.mark-1], i)
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-func appendUnique(xs []int, x int) []int {
-	for _, y := range xs {
-		if y == x {
-			return xs
-		}
-	}
-	return append(xs, x)
-}
-
-// Extract returns the unique extraction vector, or ok=false when the word
-// does not parse. Calling Extract on an ambiguous tuple returns an error
-// when the word exposes the ambiguity.
-func (t *Tuple) Extract(word []symtab.Symbol) (vector []int, ok bool, err error) {
-	pos, err := t.Positions(word)
-	if err != nil {
-		return nil, false, err
-	}
-	vector = make([]int, len(pos))
-	for j, ps := range pos {
-		switch len(ps) {
-		case 0:
-			return nil, false, nil
-		case 1:
-			vector[j] = ps[0]
-		default:
-			return nil, false, fmt.Errorf("extract: tuple is ambiguous on this word: mark %d fits positions %v", j+1, ps)
-		}
-	}
-	return vector, true, nil
 }
 
 // Unambiguous decides whether every word admits at most one extraction
@@ -423,68 +333,4 @@ func MaximizeTuple(t *Tuple) (*Tuple, error) {
 		return nil, fmt.Errorf("extract: internal: segment-wise maximization broke tuple unambiguity")
 	}
 	return out, nil
-}
-
-func startBitset(n *machine.NFA) []bool {
-	set := make([]bool, n.NumStates())
-	for _, s := range n.Start {
-		set[s] = true
-	}
-	epsClose(n, set)
-	return set
-}
-
-func moveBitset(n *machine.NFA, set []bool, sym symtab.Symbol) []bool {
-	out := make([]bool, n.NumStates())
-	for s, in := range set {
-		if !in {
-			continue
-		}
-		for _, e := range n.Edges[s] {
-			if e.On.Contains(sym) {
-				out[e.To] = true
-			}
-		}
-	}
-	epsClose(n, out)
-	return out
-}
-
-func epsClose(n *machine.NFA, set []bool) {
-	var stack []int
-	for s, in := range set {
-		if in {
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range n.Eps[s] {
-			if !set[e] {
-				set[e] = true
-				stack = append(stack, e)
-			}
-		}
-	}
-}
-
-// reverseEpsClose extends set backwards along ε-edges: if t ∈ set and
-// s -ε→ t then s ∈ set.
-func reverseEpsClose(n *machine.NFA, set []bool) {
-	for changed := true; changed; {
-		changed = false
-		for s := 0; s < n.NumStates(); s++ {
-			if set[s] {
-				continue
-			}
-			for _, e := range n.Eps[s] {
-				if set[e] {
-					set[s] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
 }

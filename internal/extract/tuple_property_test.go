@@ -47,63 +47,6 @@ func TestQuickTupleUnambiguity(t *testing.T) {
 				return false
 			}
 		}
-		// If declared ambiguous but no short witness exists, that may be a
-		// longer witness — cross-check with Positions multiplicity instead:
-		// any word with a mark having ≥2 feasible positions confirms.
-		if !unamb {
-			for _, w := range words {
-				pos, err := tp.Positions(w)
-				if err != nil {
-					return true
-				}
-				for _, ps := range pos {
-					if len(ps) >= 2 {
-						return true // confirmed
-					}
-				}
-			}
-			// No confirmation within length 6; acceptable (longer witness),
-			// do not fail.
-		}
-		return true
-	}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Positions agrees with the oracle's per-mark projection.
-func TestQuickTuplePositions(t *testing.T) {
-	e, cfg := quickEnv()
-	words := allWords(e.sigma2, 5)
-	prop := func(v randomTupleValue) bool {
-		tp, err := NewTupleFromASTs(v.segs[:], []symtab.Symbol{e.p, e.q}, e.sigma2, machineOpts())
-		if err != nil {
-			return true
-		}
-		for _, w := range words {
-			vectors := oracleVectors(tp, w)
-			want := map[int]map[int]bool{}
-			for _, vec := range vectors {
-				for j, i := range vec {
-					if want[j] == nil {
-						want[j] = map[int]bool{}
-					}
-					want[j][i] = true
-				}
-			}
-			got, err := tp.Positions(w)
-			if err != nil {
-				return true
-			}
-			for j := range got {
-				if len(got[j]) != len(want[j]) {
-					t.Logf("mismatch on %q mark %d: got %v want %v (tuple %s)",
-						e.tab.String(w), j, got[j], want[j], tp.String(e.tab))
-					return false
-				}
-			}
-		}
 		return true
 	}
 	if err := quick.Check(prop, cfg); err != nil {

@@ -2,6 +2,7 @@ package extract
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"resilex/internal/machine"
@@ -76,53 +77,6 @@ func TestTupleErrors(t *testing.T) {
 	}
 }
 
-func TestTuplePositionsAgainstOracle(t *testing.T) {
-	e := newTenv()
-	tuples := []string{
-		"q* <p> q* <r> .*",
-		"<p> .* <r>",
-		"q <p> [^ p]* <p> q*",
-		"(q | q q) <p> <r> .*",
-		".* <p> .* <r> .*",
-	}
-	words := allWords(e.sigma3, 5)
-	for _, src := range tuples {
-		tp := e.tuple(t, src, e.sigma3)
-		for _, w := range words {
-			vectors := oracleVectors(tp, w)
-			// Per-mark positions from the oracle.
-			want := make(map[int]map[int]bool)
-			for _, v := range vectors {
-				for j, i := range v {
-					if want[j] == nil {
-						want[j] = map[int]bool{}
-					}
-					want[j][i] = true
-				}
-			}
-			got, err := tp.Positions(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := range got {
-				if len(got[j]) != len(want[j]) {
-					t.Fatalf("%q on %q: mark %d positions %v, oracle %v",
-						src, e.tab.String(w), j, got[j], want[j])
-				}
-				for _, i := range got[j] {
-					if !want[j][i] {
-						t.Fatalf("%q on %q: spurious position %d for mark %d",
-							src, e.tab.String(w), i, j)
-					}
-				}
-			}
-			if tp.Parses(w) != (len(vectors) > 0) {
-				t.Fatalf("%q on %q: Parses disagrees with oracle", src, e.tab.String(w))
-			}
-		}
-	}
-}
-
 func TestTupleUnambiguousAgainstOracle(t *testing.T) {
 	e := newTenv()
 	cases := []struct {
@@ -168,28 +122,6 @@ func TestTupleUnambiguousAgainstOracle(t *testing.T) {
 	}
 }
 
-func TestTupleExtract(t *testing.T) {
-	e := newTenv()
-	tp := e.tuple(t, "[^ p]* <p> [^ r]* <r> .*", e.sigma3)
-	w := e.word(t, "q q p q r r")
-	v, ok, err := tp.Extract(w)
-	if err != nil || !ok {
-		t.Fatalf("Extract: %v %v", ok, err)
-	}
-	if len(v) != 2 || v[0] != 2 || v[1] != 4 {
-		t.Errorf("vector = %v, want [2 4]", v)
-	}
-	// Non-parsing word.
-	if _, ok, err := tp.Extract(e.word(t, "q q")); ok || err != nil {
-		t.Errorf("non-parse: %v %v", ok, err)
-	}
-	// Ambiguous tuple exposes itself on extraction.
-	amb := e.tuple(t, ".* <p> .* <r> .*", e.sigma3)
-	if _, _, err := amb.Extract(e.word(t, "p p r r")); err == nil {
-		t.Error("ambiguous extraction did not error")
-	}
-}
-
 func TestMaximizeTuple(t *testing.T) {
 	e := newTenv()
 	in := e.tuple(t, "q <p> q q <r> q*", e.sigma3)
@@ -214,24 +146,14 @@ func TestMaximizeTuple(t *testing.T) {
 	// Extraction preserved on the training-shaped word and gained on a
 	// perturbed one.
 	w := e.word(t, "q p q q r q")
-	vi, ok, err := in.Extract(w)
-	if err != nil || !ok {
-		t.Fatalf("input extract: %v %v", ok, err)
-	}
-	vo, ok, err := out.Extract(w)
-	if err != nil || !ok {
-		t.Fatalf("output extract: %v %v", ok, err)
-	}
-	for j := range vi {
-		if vi[j] != vo[j] {
-			t.Errorf("vector drifted: %v vs %v", vi, vo)
-		}
+	if vi, vo := oracleVectors(in, w), oracleVectors(out, w); len(vi) != 1 || !reflect.DeepEqual(vi, vo) {
+		t.Fatalf("vectors drifted: input %v, output %v", vi, vo)
 	}
 	novel := e.word(t, "q q q p q q q r q q")
-	if _, ok, err := out.Extract(novel); err != nil || !ok {
-		t.Errorf("maximized tuple failed on novel word: %v %v", ok, err)
+	if vs := oracleVectors(out, novel); len(vs) != 1 {
+		t.Errorf("maximized tuple has vectors %v on the novel word, want exactly one", vs)
 	}
-	if _, ok, _ := in.Extract(novel); ok {
+	if vs := oracleVectors(in, novel); len(vs) != 0 {
 		t.Error("input unexpectedly parsed the novel word — test is vacuous")
 	}
 	// Ambiguous input rejected.
@@ -253,12 +175,8 @@ func TestTupleHTMLScenario(t *testing.T) {
 	if err != nil || !unamb {
 		t.Fatalf("tuple should be unambiguous: %v %v", unamb, err)
 	}
-	doc := h.doc(t, fig1Doc2)
-	v, ok, err := tp.Extract(doc)
-	if err != nil || !ok {
-		t.Fatalf("extract: %v %v", ok, err)
-	}
-	if v[0] != 21 || v[1] != 22 {
-		t.Errorf("vector = %v, want [21 22]", v)
+	got := oracleVectors(tp, h.doc(t, fig1Doc2))
+	if want := [][]int{{21, 22}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("vectors = %v, want %v", got, want)
 	}
 }

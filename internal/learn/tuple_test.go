@@ -1,12 +1,25 @@
 package learn
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"resilex/internal/extract"
 	"resilex/internal/machine"
+	"resilex/internal/spanner"
+	"resilex/internal/symtab"
 )
+
+// unique is the tuple's single-record extraction, on the one-pass spanner.
+func unique(t *testing.T, tp *extract.Tuple, word []symtab.Symbol) ([]int, bool, error) {
+	t.Helper()
+	prog, err := spanner.Compile(tp, machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog.Unique(context.Background(), word)
+}
 
 func (e env) tupleExample(t *testing.T, s string, targets ...int) TupleExample {
 	t.Helper()
@@ -45,7 +58,7 @@ func TestInduceTupleEndToEnd(t *testing.T) {
 		t.Fatalf("induced tuple ambiguous: %v %v", unamb, err)
 	}
 	for i, ex := range []TupleExample{ex1, ex2} {
-		v, ok, err := tp.Extract(ex.Doc)
+		v, ok, err := unique(t, tp, ex.Doc)
 		if err != nil || !ok {
 			t.Fatalf("example %d: extract %v %v", i, ok, err)
 		}
@@ -61,7 +74,7 @@ func TestInduceTupleEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	novel := e.word(t, "TABLE TR TD A /A /TD /TR TR TD H1 /H1 FORM INPUT INPUT /FORM /TD /TR /TABLE")
-	v, ok, err := maxed.Extract(novel)
+	v, ok, err := unique(t, maxed, novel)
 	if err != nil || !ok {
 		t.Fatalf("novel extract: %v %v", ok, err)
 	}
@@ -102,7 +115,7 @@ func TestInduceTupleSingleExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := tp.Extract(ex.Doc)
+	v, ok, err := unique(t, tp, ex.Doc)
 	if err != nil || !ok || v[0] != 2 || v[1] != 3 {
 		t.Errorf("vector = %v (%v, %v)", v, ok, err)
 	}

@@ -160,3 +160,62 @@ func TestDerivativeDFABudgetAndForeign(t *testing.T) {
 		t.Error("budget not enforced")
 	}
 }
+
+// lazyEquivCases cover every operator the compiler emits, including the
+// extended ones, over Σ = {p, q, r}.
+var lazyEquivCases = []string{
+	"#empty",
+	"#eps",
+	"p",
+	"p q r",
+	"p | q",
+	"(p | q)* p",
+	"[^ p]* p [^ p]*",
+	"(p q)+ r?",
+	"(p | q)* p (p | q) (p | q)", // PSPACE witness shape, n=2
+	"(p q | q p)* r",
+	"(p | q)* - (q p*)",
+	"(p | q)* & (q | p q)*",
+	"!(p q)*",
+}
+
+// TestLazyEagerEquivalence checks that on-the-fly subset simulation of the
+// NFA (NFA.Accepts, which never builds a DFA) accepts exactly the words the
+// eager Determinize+Minimize pipeline accepts, over every word up to length
+// 5 plus a random batch of longer ones.
+func TestLazyEagerEquivalence(t *testing.T) {
+	for _, src := range lazyEquivCases {
+		src := src
+		t.Run(src, func(t *testing.T) {
+			e := env3()
+			ast, err := rx.Parse(src, e.tab, e.sigma)
+			if err != nil {
+				t.Fatalf("parse: %v", err)
+			}
+			nfa, err := Compile(ast, e.sigma, Options{})
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			d, err := Determinize(nfa, Options{})
+			if err != nil {
+				t.Fatalf("determinize: %v", err)
+			}
+			eager := Minimize(d)
+			syms := e.sigma.Symbols()
+			words := allWords(e.sigma, 5)
+			rng := rand.New(rand.NewSource(7))
+			for i := 0; i < 50; i++ {
+				w := make([]symtab.Symbol, 6+rng.Intn(20))
+				for j := range w {
+					w[j] = syms[rng.Intn(len(syms))]
+				}
+				words = append(words, w)
+			}
+			for _, w := range words {
+				if lazy, want := nfa.Accepts(w), eager.Accepts(w); lazy != want {
+					t.Fatalf("lazy=%v eager=%v on %q", lazy, want, e.tab.String(w))
+				}
+			}
+		})
+	}
+}

@@ -133,6 +133,17 @@ func Determinize(n *NFA, opt Options) (_ *DFA, err error) {
 	return d, nil
 }
 
+// subsetKey packs a state bitset into a compact map key.
+func subsetKey(set []bool) string {
+	b := make([]byte, (len(set)+7)/8)
+	for i, in := range set {
+		if in {
+			b[i/8] |= 1 << (i % 8)
+		}
+	}
+	return string(b)
+}
+
 // Complement returns a DFA for Σ* − L(d).
 func (d *DFA) Complement() *DFA {
 	out := newDFA(d.Sigma)

@@ -9,8 +9,43 @@ import (
 	"resilex/internal/symtab"
 )
 
-// codecEnv compiles src over {p,q,r} into an NFA plus its minimal DFA.
-func codecEnv(t *testing.T, src string) (*NFA, *DFA, []symtab.Symbol) {
+// codecCases are the regexes the codec tests sweep; they cover every
+// operator the compiler emits, including the extended ones.
+var codecCases = []string{
+	"#empty",
+	"#eps",
+	"p",
+	"p q r",
+	"p | q",
+	"(p | q)* p",
+	"[^ p]* p [^ p]*",
+	"(p q)+ r?",
+	"(p | q)* p (p | q) (p | q)", // PSPACE witness shape, n=2
+	"(p q | q p)* r",
+	"(p | q)* - (q p*)",
+	"(p | q)* & (q | p q)*",
+	"!(p q)*",
+}
+
+func enumWords(sigma []symtab.Symbol, maxLen int) [][]symtab.Symbol {
+	out := [][]symtab.Symbol{nil}
+	frontier := [][]symtab.Symbol{nil}
+	for l := 0; l < maxLen; l++ {
+		var next [][]symtab.Symbol
+		for _, w := range frontier {
+			for _, s := range sigma {
+				ext := append(append([]symtab.Symbol(nil), w...), s)
+				next = append(next, ext)
+			}
+		}
+		out = append(out, next...)
+		frontier = next
+	}
+	return out
+}
+
+// codecEnv compiles src over {p,q,r} into its minimal DFA.
+func codecEnv(t *testing.T, src string) (*DFA, []symtab.Symbol) {
 	t.Helper()
 	tab := symtab.NewTable()
 	sigma := symtab.NewAlphabet(tab.InternAll("p", "q", "r")...)
@@ -26,14 +61,14 @@ func codecEnv(t *testing.T, src string) (*NFA, *DFA, []symtab.Symbol) {
 	if err != nil {
 		t.Fatalf("determinize %q: %v", src, err)
 	}
-	return n, Minimize(d), sigma.Symbols()
+	return Minimize(d), sigma.Symbols()
 }
 
 func TestDFACodecRoundTrip(t *testing.T) {
-	for _, src := range lazyEquivCases {
+	for _, src := range codecCases {
 		src := src
 		t.Run(src, func(t *testing.T) {
-			_, d, syms := codecEnv(t, src)
+			d, syms := codecEnv(t, src)
 			got, err := DecodeDFA(d.Encode())
 			if err != nil {
 				t.Fatal(err)
@@ -50,145 +85,23 @@ func TestDFACodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNFACodecRoundTrip(t *testing.T) {
-	for _, src := range lazyEquivCases {
-		src := src
-		t.Run(src, func(t *testing.T) {
-			n, d, syms := codecEnv(t, src)
-			got, err := DecodeNFA(n.Encode())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.NumStates() != n.NumStates() {
-				t.Fatalf("decoded NFA has %d states, want %d", got.NumStates(), n.NumStates())
-			}
-			for _, w := range enumWords(syms, 5) {
-				if got.Accepts(w) != d.Accepts(w) {
-					t.Fatalf("decoded NFA disagrees on %v", w)
-				}
-			}
-		})
-	}
-}
-
-func TestLazyCodecRoundTripWarm(t *testing.T) {
-	for _, src := range lazyEquivCases {
-		src := src
-		t.Run(src, func(t *testing.T) {
-			n, d, syms := codecEnv(t, src)
-			lazy := NewLazy(n, Options{})
-			words := enumWords(syms, 4)
-			// Warm a working set, snapshot, and restore.
-			for _, w := range words {
-				if _, err := lazy.Accepts(w); err != nil {
-					t.Fatal(err)
-				}
-			}
-			warm := lazy.NumStates()
-			got, err := DecodeLazy(lazy.Encode(), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.NumStates() != warm {
-				t.Fatalf("restored %d states, want %d warm", got.NumStates(), warm)
-			}
-			// The restored automaton must agree with the eager DFA both on the
-			// warmed words and on longer cold ones that force fresh
-			// materialization on top of the snapshot.
-			for _, w := range append(words, enumWords(syms, 5)...) {
-				acc, err := got.Accepts(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if acc != d.Accepts(w) {
-					t.Fatalf("restored lazy DFA disagrees on %v", w)
-				}
-			}
-		})
-	}
-}
-
-func TestLazyCodecColdSnapshot(t *testing.T) {
-	n, d, syms := codecEnv(t, "(p | q)* p (p | q)")
-	got, err := DecodeLazy(NewLazy(n, Options{}).Encode(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumStates() != 1 {
-		t.Fatalf("cold snapshot restored %d states, want 1", got.NumStates())
-	}
-	for _, w := range enumWords(syms, 5) {
-		acc, err := got.Accepts(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if acc != d.Accepts(w) {
-			t.Fatalf("disagrees on %v", w)
-		}
-	}
-}
-
-// TestLazyDecodeBudget: the restoring process's options govern further
-// materialization — a tiny budget makes a restored snapshot fail with
-// ErrBudget on cold states, exactly like a fresh LazyDFA.
-func TestLazyDecodeBudget(t *testing.T) {
-	n, _, syms := codecEnv(t, "(p | q)* p (p | q) (p | q) (p | q)")
-	lazy := NewLazy(n, Options{})
-	got, err := DecodeLazy(lazy.Encode(), Options{MaxStates: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stepErr error
-	for _, w := range enumWords(syms, 6) {
-		if _, stepErr = got.Accepts(w); stepErr != nil {
-			break
-		}
-	}
-	if !errors.Is(stepErr, ErrBudget) {
-		t.Fatalf("err = %v, want ErrBudget", stepErr)
-	}
-}
-
 func TestAutomatonDecodeRejectsCorruption(t *testing.T) {
-	n, d, _ := codecEnv(t, "(p q | q p)* r")
-	lazy := NewLazy(n, Options{})
-	if _, err := lazy.Accepts(nil); err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name   string
-		blob   []byte
-		decode func([]byte) error
-	}{
-		{"dfa", d.Encode(), func(b []byte) error { _, err := DecodeDFA(b); return err }},
-		{"nfa", n.Encode(), func(b []byte) error { _, err := DecodeNFA(b); return err }},
-		{"lazy", lazy.Encode(), func(b []byte) error { _, err := DecodeLazy(b, Options{}); return err }},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			if err := c.decode(nil); !errors.Is(err, codec.ErrMalformedInput) {
-				t.Errorf("nil blob: err = %v", err)
+	d, _ := codecEnv(t, "(p q | q p)* r")
+	t.Run("dfa", func(t *testing.T) {
+		blob := d.Encode()
+		decode := func(b []byte) error { _, err := DecodeDFA(b); return err }
+		if err := decode(nil); !errors.Is(err, codec.ErrMalformedInput) {
+			t.Errorf("nil blob: err = %v", err)
+		}
+		if err := decode(blob[:len(blob)/2]); !errors.Is(err, codec.ErrMalformedInput) {
+			t.Errorf("truncated blob: err = %v", err)
+		}
+		for i := range blob {
+			mut := append([]byte(nil), blob...)
+			mut[i] ^= 0x10
+			if err := decode(mut); !errors.Is(err, codec.ErrMalformedInput) {
+				t.Fatalf("bit flip at %d: err = %v, want ErrMalformedInput", i, err)
 			}
-			if err := c.decode(c.blob[:len(c.blob)/2]); !errors.Is(err, codec.ErrMalformedInput) {
-				t.Errorf("truncated blob: err = %v", err)
-			}
-			for i := range c.blob {
-				mut := append([]byte(nil), c.blob...)
-				mut[i] ^= 0x10
-				if err := c.decode(mut); !errors.Is(err, codec.ErrMalformedInput) {
-					t.Fatalf("bit flip at %d: err = %v, want ErrMalformedInput", i, err)
-				}
-			}
-			// Wrong-kind decode: a DFA blob is not an NFA and vice versa.
-			for _, other := range cases {
-				if other.name == c.name {
-					continue
-				}
-				if err := c.decode(other.blob); !errors.Is(err, codec.ErrMalformedInput) {
-					t.Errorf("decoding %s blob as %s: err = %v", other.name, c.name, err)
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -17,11 +17,12 @@ const (
 	// and differentials its All/Find answers against the precompiled
 	// reference.
 	OpCompileEager OpKind = iota
-	// OpCompileLazy compiles the lazy on-the-fly matcher and differentials
-	// it against the eager reference.
-	OpCompileLazy
+	// OpCompileStreamAll compiles the one-pass streaming matcher and
+	// differentials its CollectAll mode — every valid position, not just
+	// the leftmost — against the eager reference's full answer set.
+	OpCompileStreamAll
 	// OpCompileStream compiles the one-pass streaming matcher and
-	// differentials it against the eager reference.
+	// differentials its leftmost Find against the eager reference.
 	OpCompileStream
 	// OpPut registers a pooled payload as the key's active version through
 	// the server's put path (cache, registry, version bump).
@@ -81,7 +82,7 @@ const NumOpKinds = int(opCount)
 // metrics lint reserves for the obs registry.
 func (k OpKind) String() string {
 	names := [...]string{
-		"compile-eager", "compile-lazy", "compile-stream",
+		"compile-eager", "compile-stream-all", "compile-stream",
 		"put", "canary-put", "promote", "rollback", "delete",
 		"extract", "extract-stream", "extract-batch",
 		"cache-evict", "codec-roundtrip", "restart",

@@ -110,8 +110,8 @@ func (w *World) step(t *testing.T, i int, op Op) {
 	switch op.Kind {
 	case OpCompileEager:
 		w.compileEager(t, i, op)
-	case OpCompileLazy:
-		w.compileLazy(t, i, op)
+	case OpCompileStreamAll:
+		w.compileStreamAll(t, i, op)
 	case OpCompileStream:
 		w.compileStream(t, i, op)
 
@@ -454,34 +454,35 @@ func (w *World) compileEager(t *testing.T, i int, op Op) {
 	}
 }
 
-// compileLazy differentials the on-the-fly matcher against the eager
-// reference on one document.
-func (w *World) compileLazy(t *testing.T, i int, op Op) {
-	_, spec := w.validPayload(op.B)
-	ref := spec.docs[w.doc(op.C)]
-	lm, err := spec.compiled.Expr.CompileLazy()
-	if err != nil {
-		t.Fatalf("op %d: lazy compile: %v", i, err)
+// compileStream differentials the one-pass streaming matcher's leftmost
+// Find against the eager reference on one document.
+func (w *World) compileStream(t *testing.T, i int, op Op) {
+	ref, sm := w.streamMatcher(t, i, op)
+	if sm == nil {
+		return
 	}
-	all, err := lm.All(ref.syms)
-	if err != nil {
-		t.Fatalf("op %d: lazy All: %v", i, err)
-	}
-	if !equalInts(all, ref.all) {
-		t.Fatalf("op %d: lazy All = %v, reference %v", i, all, ref.all)
-	}
-	pos, ok, err := lm.Find(ref.syms)
-	if err != nil {
-		t.Fatalf("op %d: lazy Find: %v", i, err)
-	}
+	pos, ok := sm.Find(ref.syms)
 	if ok != ref.findOK || (ok && pos != ref.findPos) {
-		t.Fatalf("op %d: lazy Find = (%d,%v), reference (%d,%v)", i, pos, ok, ref.findPos, ref.findOK)
+		t.Fatalf("op %d: stream Find = (%d,%v), reference (%d,%v)", i, pos, ok, ref.findPos, ref.findOK)
 	}
 }
 
-// compileStream differentials the one-pass streaming matcher against the
-// eager reference on one document.
-func (w *World) compileStream(t *testing.T, i int, op Op) {
+// compileStreamAll differentials the streaming matcher's CollectAll mode
+// against the eager reference's full answer set on one document.
+func (w *World) compileStreamAll(t *testing.T, i int, op Op) {
+	ref, sm := w.streamMatcher(t, i, op)
+	if sm == nil {
+		return
+	}
+	if all := sm.All(ref.syms); !equalInts(all, ref.all) {
+		t.Fatalf("op %d: stream All = %v, reference %v", i, all, ref.all)
+	}
+}
+
+// streamMatcher freshly compiles the streaming matcher of the op's payload
+// and returns it with the op's reference document. The matcher is nil when
+// the payload is known to exceed the dense-table limit.
+func (w *World) streamMatcher(t *testing.T, i int, op Op) (docRef, *extract.StreamMatcher) {
 	_, spec := w.validPayload(op.B)
 	ref := spec.docs[w.doc(op.C)]
 	sm, err := spec.compiled.Expr.CompileStream()
@@ -489,12 +490,9 @@ func (w *World) compileStream(t *testing.T, i int, op Op) {
 		if spec.streamOK {
 			t.Fatalf("op %d: stream compile: %v", i, err)
 		}
-		return
+		return ref, nil
 	}
-	pos, ok := sm.Find(ref.syms)
-	if ok != ref.findOK || (ok && pos != ref.findPos) {
-		t.Fatalf("op %d: stream Find = (%d,%v), reference (%d,%v)", i, pos, ok, ref.findPos, ref.findOK)
-	}
+	return ref, sm
 }
 
 // codecRoundTrip exercises the persistence substrate: an artifact

@@ -25,7 +25,8 @@ var fuzzExprs = []string{
 
 // FuzzSpannerOracleEquiv differentials the compiled one-pass multi-split
 // program against the naive k-nested oracle on arbitrary short words: same
-// vectors, same lexicographic order. The first byte picks the expression;
+// vectors, same lexicographic order, and the single-record Unique answer
+// the oracle's vector count implies. The first byte picks the expression;
 // the rest spell the word over {p, q, r}.
 func FuzzSpannerOracleEquiv(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0})
@@ -71,5 +72,6 @@ func FuzzSpannerOracleEquiv(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%q on %v:\n spanner = %v\n oracle  = %v", src, word, got, want)
 		}
+		checkUnique(t, prog, tp, word)
 	})
 }

@@ -5,12 +5,11 @@
 //
 // compiled into one multi-split automaton pass: a restricted document
 // spanner (Fagin et al., "Document Spanners") that enumerates every
-// extraction vector of a word, not just the unique one. Where
-// extract.Tuple.Extract answers "the vector, if unambiguous", a compiled
-// Program answers "all vectors, in lexicographic order, with O(k) delay
-// between consecutive tuples after a single O(n·states) pass" — the record
-// workload of production wrappers (many repeated (name, price, …) rows per
-// page).
+// extraction vector of a word, not just the unique one. A compiled Program
+// answers "all vectors, in lexicographic order, with O(k) delay between
+// consecutive tuples after a single O(n·states) pass" — the record workload
+// of production wrappers (many repeated (name, price, …) rows per page) —
+// and, through Unique, "the vector, if unambiguous".
 //
 // The construction is a layered product DAG. A node (i, j, q) means: the
 // first i symbols are consumed, pivots p1…pj are already placed, and the
@@ -155,6 +154,31 @@ func (p *Program) RunContext(ctx context.Context, word []symtab.Symbol) (*Matche
 	q := *p
 	q.opt = q.opt.WithContext(ctx)
 	return q.run(word)
+}
+
+// Unique is the single-record entry point: the first extraction vector of
+// word, ok=false when there is none, and an error wrapping
+// extract.ErrAmbiguous when a second one exists. Two distinct vectors exist
+// exactly when some pivot has two participating positions, so this is the
+// strict "the vector, if unambiguous" answer of a tuple wrapper. Run's
+// budget and deadline errors pass through, with ctx bound as in RunContext.
+func (p *Program) Unique(ctx context.Context, word []symtab.Symbol) (vector []int, ok bool, err error) {
+	m, err := p.RunContext(ctx, word)
+	if err != nil {
+		return nil, false, err
+	}
+	first, ok, err := m.Next()
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	second, more, err := m.Next()
+	if err != nil {
+		return nil, false, err
+	}
+	if more {
+		return nil, false, fmt.Errorf("%w: tuple fits this word as %v and as %v", extract.ErrAmbiguous, first, second)
+	}
+	return first, true, nil
 }
 
 func (p *Program) run(word []symtab.Symbol) (*Matches, error) {

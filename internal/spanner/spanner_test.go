@@ -42,6 +42,22 @@ func (e senv) word(t *testing.T, src string) []symtab.Symbol {
 	return w
 }
 
+// allWords enumerates every word over sigma of length at most maxLen.
+func allWords(sigma symtab.Alphabet, maxLen int) [][]symtab.Symbol {
+	out := [][]symtab.Symbol{nil}
+	for frontier := out; maxLen > 0; maxLen-- {
+		var next [][]symtab.Symbol
+		for _, w := range frontier {
+			for _, sym := range sigma.Symbols() {
+				next = append(next, append(w[:len(w):len(w)], sym))
+			}
+		}
+		out = append(out, next...)
+		frontier = next
+	}
+	return out
+}
+
 // TestProgramMatchesOracle is the fixture differential: the one-pass
 // multi-split DAG must enumerate exactly the vectors the naive k-nested
 // oracle finds, in the same lexicographic order.
@@ -87,7 +103,7 @@ func TestProgramMatchesOracle(t *testing.T) {
 
 // TestUnambiguousTupleInvariant checks the per-pivot lift of the paper's
 // unambiguity theory: on an unambiguous tuple the spanner finds at most one
-// vector per word, and exactly the one extract.Tuple.Extract returns.
+// vector per word, and exactly the one Unique returns.
 func TestUnambiguousTupleInvariant(t *testing.T) {
 	e := newSenv()
 	tp := e.tuple(t, "q* <p> q* <r> q*", machine.Options{})
@@ -112,15 +128,69 @@ func TestUnambiguousTupleInvariant(t *testing.T) {
 		if len(got) > 1 {
 			t.Fatalf("unambiguous tuple yielded %d vectors on %q: %v", len(got), ws, got)
 		}
-		vec, ok, err := tp.Extract(w)
+		vec, ok, err := prog.Unique(context.Background(), w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ok != (len(got) == 1) {
-			t.Fatalf("on %q: Extract ok=%v but spanner found %d vectors", ws, ok, len(got))
+			t.Fatalf("on %q: Unique ok=%v but spanner found %d vectors", ws, ok, len(got))
 		}
 		if ok && !reflect.DeepEqual(got[0], vec) {
-			t.Fatalf("on %q: spanner = %v, Extract = %v", ws, got[0], vec)
+			t.Fatalf("on %q: spanner = %v, Unique = %v", ws, got[0], vec)
+		}
+	}
+}
+
+// checkUnique asserts Program.Unique's contract against the oracle's
+// vectors: none → ok=false, one → that vector, two or more → ErrAmbiguous.
+// It returns the oracle's vector count.
+func checkUnique(t *testing.T, prog *Program, tp *extract.Tuple, w []symtab.Symbol) int {
+	t.Helper()
+	want := NaiveTuples(tp, w)
+	vec, ok, err := prog.Unique(context.Background(), w)
+	switch {
+	case len(want) == 0 && (ok || err != nil):
+		t.Fatalf("on %v: Unique = %v, %v, %v; oracle has no vector", w, vec, ok, err)
+	case len(want) == 1 && (!ok || err != nil || !reflect.DeepEqual(vec, want[0])):
+		t.Fatalf("on %v: Unique = %v, %v, %v; oracle has only %v", w, vec, ok, err, want[0])
+	case len(want) >= 2 && !errors.Is(err, extract.ErrAmbiguous):
+		t.Fatalf("on %v: Unique = %v, %v, %v; oracle has %d vectors, want ErrAmbiguous", w, vec, ok, err, len(want))
+	}
+	return len(want)
+}
+
+// TestUniqueMatchesOracle is the single-record differential: over every
+// word up to length 5, on ambiguous and unambiguous tuples alike, Unique
+// agrees with the naive oracle's vector count — and the sweep reaches all
+// three outcomes.
+func TestUniqueMatchesOracle(t *testing.T) {
+	e := newSenv()
+	words := allWords(e.sigma, 5)
+	counts := map[int]int{} // oracle vector count (capped at 2) → words
+	for _, src := range []string{
+		"q* <p> q* <r> .*",
+		"<p> .* <r>",
+		".* <p> .* <r> .*",
+		"q <p> [^ p]* <p> q*",
+		"(q | q q) <p> <r> .*",
+		"[^ p]* <p> [^ r]* <r> .*",
+		".* <p> q* <r> .*",
+		"p? <p> p*",
+		"q? <p> p*",
+		".* <p> .* <r> .* <p> .*",
+	} {
+		tp := e.tuple(t, src, machine.Options{})
+		prog, err := Compile(tp, machine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range words {
+			counts[min(checkUnique(t, prog, tp, w), 2)]++
+		}
+	}
+	for n := 0; n <= 2; n++ {
+		if counts[n] == 0 {
+			t.Errorf("no word with %d oracle vectors: the sweep misses an outcome", n)
 		}
 	}
 }

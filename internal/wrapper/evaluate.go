@@ -1,6 +1,7 @@
 package wrapper
 
 import (
+	"context"
 	"fmt"
 	"strings"
 )
@@ -127,7 +128,7 @@ func (w *TupleWrapper) EvaluateTuple(pages []TupleLabeledPage) Report {
 		if bad {
 			continue
 		}
-		vector, ok, err := w.tuple.Extract(doc.Syms)
+		vector, ok, err := w.unique(context.Background(), doc.Syms)
 		if err != nil || !ok {
 			detail := "expression does not parse the page"
 			if err != nil {

@@ -1,6 +1,7 @@
 package wrapper
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,8 +30,8 @@ type TupleWrapper struct {
 	examples []learn.TupleExample
 	sigma    symtab.Alphabet
 
-	// Lazily compiled multi-split spanner program backing ExtractAll; see
-	// tuplecached.go.
+	// Lazily compiled multi-split spanner program backing Extract and
+	// ExtractAll; see tuplecached.go.
 	prog struct {
 		once sync.Once
 		p    *spanner.Program
@@ -136,9 +137,18 @@ func markedIndices(doc htmltok.Document, html string) ([]int, error) {
 }
 
 // Extract runs the tuple wrapper on a page, returning one region per slot.
+// A page holding two records fails with an error wrapping
+// extract.ErrAmbiguous; ExtractAll enumerates them instead.
 func (w *TupleWrapper) Extract(html string) ([]Region, error) {
+	return w.ExtractContext(context.Background(), html)
+}
+
+// ExtractContext is Extract bounded by ctx in addition to the wrapper's own
+// training options: an expired or cancelled context abandons the spanner
+// run with an error wrapping machine.ErrDeadline.
+func (w *TupleWrapper) ExtractContext(ctx context.Context, html string) ([]Region, error) {
 	doc := w.mapper.Map(html)
-	vector, ok, err := w.tuple.Extract(doc.Syms)
+	vector, ok, err := w.unique(ctx, doc.Syms)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"resilex/internal/extract"
 	"resilex/internal/machine"
 	"resilex/internal/spanner"
+	"resilex/internal/symtab"
 )
 
 // LoadTupleCached is LoadTuple backed by a compiled-artifact cache tier
@@ -62,13 +63,23 @@ func LoadTupleCachedCtx(ctx context.Context, data []byte, opt machine.Options, c
 
 // program returns the wrapper's compiled multi-split spanner program,
 // building it on first use. The program is immutable and shared by every
-// subsequent ExtractAll; compile failure is sticky only for this wrapper
-// instance.
+// subsequent Extract and ExtractAll; compile failure is sticky only for
+// this wrapper instance.
 func (w *TupleWrapper) program() (*spanner.Program, error) {
 	w.prog.once.Do(func() {
 		w.prog.p, w.prog.err = spanner.Compile(w.tuple, w.cfg.Options)
 	})
 	return w.prog.p, w.prog.err
+}
+
+// unique is the program's single-record answer over a mapped page: the
+// vector, ok=false for none, an error wrapping extract.ErrAmbiguous for two.
+func (w *TupleWrapper) unique(ctx context.Context, syms []symtab.Symbol) ([]int, bool, error) {
+	prog, err := w.program()
+	if err != nil {
+		return nil, false, err
+	}
+	return prog.Unique(ctx, syms)
 }
 
 // ExtractAll runs the tuple wrapper as a document spanner: every extraction

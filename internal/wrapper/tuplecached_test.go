@@ -116,6 +116,24 @@ func TestExtractAllContextCancel(t *testing.T) {
 	}
 }
 
+// TestExtractContextCancel: the strict single-record path honors its
+// context as ExtractAll does, and with a live context a multi-record page
+// fails in the ambiguity class.
+func TestExtractContextCancel(t *testing.T) {
+	w, err := LoadTuple(recordsPayload(t), machine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := w.ExtractContext(ctx, recordsPage); !errors.Is(err, machine.ErrDeadline) {
+		t.Fatalf("cancelled Extract: %v", err)
+	}
+	if _, err := w.ExtractContext(context.Background(), recordsPage); !errors.Is(err, extract.ErrAmbiguous) {
+		t.Fatalf("multi-record page: %v, want ErrAmbiguous", err)
+	}
+}
+
 func TestLoadTupleCachedAgreesWithLoadTuple(t *testing.T) {
 	data := recordsPayload(t)
 	plain, err := LoadTuple(data, machine.Options{})

@@ -11,6 +11,7 @@ import (
 	"resilex/internal/machine"
 	"resilex/internal/perturb"
 	"resilex/internal/rx"
+	"resilex/internal/spanner"
 	"resilex/internal/symtab"
 	"resilex/internal/wrapper"
 )
@@ -283,6 +284,20 @@ func ParseTuple(src string, tab *Table, sigma Alphabet, opt Options) (t *Tuple, 
 func MaximizeTuple(t *Tuple) (out *Tuple, err error) {
 	defer guard(&err)
 	return extract.MaximizeTuple(t)
+}
+
+// ExtractTuple returns a tuple expression's only extraction vector over a
+// token word, bounded by ctx: ok=false when the word has none, and an error
+// wrapping ErrAmbiguous when it has two. Each call compiles the one-pass
+// k-ary spanner under the tuple's own options; a TupleWrapper compiles
+// once for all its pages.
+func ExtractTuple(ctx context.Context, t *Tuple, word []Symbol) (vector []int, ok bool, err error) {
+	defer guard(&err)
+	prog, err := spanner.Compile(t, t.Options())
+	if err != nil {
+		return nil, false, err
+	}
+	return prog.Unique(ctx, word)
 }
 
 // InduceTuple generalizes tuple examples into an unambiguous tuple
